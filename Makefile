@@ -12,7 +12,7 @@ SNAPSHOT_SCALE ?= 0.3
 # Where `make serve` listens.
 SERVE_ADDR ?= :8080
 
-.PHONY: build test test-short race-short bench bench-smoke bench-json bench-service chaos chaos-short chaos-fleet fmt fmt-check vet docs-check ci snapshot serve smoke-serve
+.PHONY: build test test-short race-short bench bench-smoke bench-json bench-service chaos chaos-short chaos-fleet fmt fmt-check vet docs-check perfbench-check ci snapshot serve smoke-serve
 
 # bench-service knobs: how long the mixed load runs, how many concurrent
 # workers fire it, which scale the replica fleet serves, and which worlds
@@ -274,7 +274,13 @@ docs-check:
 	$(GO) run ./cmd/docscheck ./internal/hashtab ./internal/service ./internal/engine \
 		./internal/parallel ./internal/router ./internal/loadgen ./internal/reopt \
 		./internal/workload ./internal/index ./internal/trace \
-		./internal/fault ./internal/deadline
+		./internal/fault ./internal/deadline ./internal/lru
+
+# The benchmark (perfbench/) is a module of its own, so the root build,
+# vet and tests never compile it; check it here so an internal API change
+# that breaks it fails in CI rather than when the benchmark next runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Everything the CI checks job runs, in order.
-ci: fmt-check vet docs-check build test bench-smoke
+ci: fmt-check vet docs-check build test perfbench-check bench-smoke

@@ -20,8 +20,8 @@
 //   - DBMS C: histograms for numeric predicates but magic constants for all
 //     string predicates: large base-table overestimates (Table 1, row C).
 //
-// The true-cardinality provider and the Injector make any of these
-// interchangeable inputs to the optimizer, replicating the paper's §2.4
+// The true-cardinality provider makes any of these interchangeable with the
+// truth as inputs to the optimizer, replicating the paper's §2.4
 // cardinality-injection methodology.
 package cardest
 
@@ -374,34 +374,4 @@ func (p *Pessimistic) inflation(s query.BitSet) float64 {
 		f = 2
 	}
 	return math.Pow(f, float64(n))
-}
-
-// Injector overrides individual subexpression cardinalities on top of a
-// fallback provider. It generalises DB2's selectivity injection to arbitrary
-// expressions, which is the capability the paper added to PostgreSQL.
-type Injector struct {
-	Fallback  Provider
-	Overrides map[query.BitSet]float64
-	Label     string
-}
-
-// Name implements Provider.
-func (in *Injector) Name() string {
-	if in.Label != "" {
-		return in.Label
-	}
-	return "injected(" + in.Fallback.Name() + ")"
-}
-
-// Card implements Provider.
-func (in *Injector) Card(s query.BitSet) float64 {
-	if v, ok := in.Overrides[s]; ok {
-		return math.Max(1, v)
-	}
-	return in.Fallback.Card(s)
-}
-
-// SansSelection implements Provider.
-func (in *Injector) SansSelection(s query.BitSet, r int) float64 {
-	return in.Fallback.SansSelection(s, r)
 }

@@ -29,13 +29,9 @@ type Table1Row struct {
 	Median, P90, P95, Maximum float64
 }
 
-// Table1 measures base-table selection q-errors for all five systems
+// Table1Context measures base-table selection q-errors for all five systems
 // (paper Table 1).
-func (l *Lab) Table1() (*Table1Result, error) {
-	return l.Table1Context(context.Background())
-}
-
-// Table1Context is Table1 under a caller-controlled context.
+// ctx cancels the run.
 func (l *Lab) Table1Context(ctx context.Context) (*Table1Result, error) {
 	res := &Table1Result{}
 	for _, q := range l.Queries {
@@ -110,12 +106,8 @@ type Figure3System struct {
 	FracOffBy10 []float64
 }
 
-// Figure3 computes the join estimation error distributions of Fig. 3.
-func (l *Lab) Figure3() (*Figure3Result, error) {
-	return l.Figure3Context(context.Background())
-}
-
-// Figure3Context is Figure3 under a caller-controlled context.
+// Figure3Context computes the join estimation error distributions of Fig. 3.
+// ctx cancels the run.
 func (l *Lab) Figure3Context(ctx context.Context) (*Figure3Result, error) {
 	// One cell per query: the signed errors of every connected
 	// subexpression, per system and join count.
@@ -216,14 +208,9 @@ type Figure4Panel struct {
 	ByJoins []metrics.Boxplot
 }
 
-// Figure4 runs the PostgreSQL estimator over 4 JOB queries and the 3 mini
-// TPC-H queries (generated uniform and independent), reproducing the
-// contrast of Fig. 4: TPC-H is easy, JOB is not.
-func (l *Lab) Figure4() (*Figure4Result, error) {
-	return l.Figure4Context(context.Background())
-}
-
-// Figure4Context is Figure4 under a caller-controlled context.
+// Figure4Context runs the PostgreSQL estimator over 4 JOB queries and the 3
+// mini TPC-H queries (generated uniform and independent), reproducing the
+// contrast of Fig. 4: TPC-H is easy, JOB is not. ctx cancels the run.
 func (l *Lab) Figure4Context(ctx context.Context) (*Figure4Result, error) {
 	var jobIDs []string
 	for _, qid := range []string{"6a", "16d", "17b", "25c"} {
@@ -326,14 +313,10 @@ type Figure5Result struct {
 	TrueDistinct []metrics.Boxplot
 }
 
-// Figure5 reproduces the paper's §3.4 experiment: replacing the sampled
-// distinct counts with exact ones changes the estimates — and makes the
-// underestimation trend *worse*, the "two wrongs make a right" effect.
-func (l *Lab) Figure5() (*Figure5Result, error) {
-	return l.Figure5Context(context.Background())
-}
-
-// Figure5Context is Figure5 under a caller-controlled context.
+// Figure5Context reproduces the paper's §3.4 experiment: replacing the
+// sampled distinct counts with exact ones changes the estimates — and makes
+// the underestimation trend *worse*, the "two wrongs make a right" effect.
+// ctx cancels the run.
 func (l *Lab) Figure5Context(ctx context.Context) (*Figure5Result, error) {
 	type cellResult struct {
 		def, td [][]float64

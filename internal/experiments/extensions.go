@@ -33,15 +33,10 @@ type DampingAblationRow struct {
 	FracOffBy10 float64
 }
 
-// DampingAblation explains the DBMS A reverse-engineering: exponent 1.0 is
-// plain independence (systematic underestimation), small exponents
+// DampingAblationContext explains the DBMS A reverse-engineering: exponent
+// 1.0 is plain independence (systematic underestimation), small exponents
 // overshoot into overestimation, and the profile's default sits in between.
-func (l *Lab) DampingAblation(exponents []float64) (*DampingAblationResult, error) {
-	return l.DampingAblationContext(context.Background(), exponents)
-}
-
-// DampingAblationContext is DampingAblation under a caller-controlled
-// context.
+// ctx cancels the run.
 func (l *Lab) DampingAblationContext(ctx context.Context, exponents []float64) (*DampingAblationResult, error) {
 	if len(exponents) == 0 {
 		exponents = []float64{1.0, 0.9, 0.82, 0.7, 0.5}
@@ -128,14 +123,9 @@ type RehashAblationRow struct {
 	WorkRehash            int64
 }
 
-// RehashAblation isolates the §4.1 hash-table mechanism on one query: the
-// plan is fixed; only the build-side estimates fed to the executor change.
-func (l *Lab) RehashAblation(qid string, factors []float64) (*RehashAblationResult, error) {
-	return l.RehashAblationContext(context.Background(), qid, factors)
-}
-
-// RehashAblationContext is RehashAblation under a caller-controlled
-// context.
+// RehashAblationContext isolates the §4.1 hash-table mechanism on one query:
+// the plan is fixed; only the build-side estimates fed to the executor
+// change. ctx cancels the run.
 func (l *Lab) RehashAblationContext(ctx context.Context, qid string, factors []float64) (*RehashAblationResult, error) {
 	if len(factors) == 0 {
 		factors = []float64{1, 10, 100, 1000}
@@ -229,17 +219,12 @@ type HedgingRow struct {
 	Timeouts int
 }
 
-// Hedging runs the §4.1 experiment (PK+FK indexes, where misestimates hurt
-// most) with plain PostgreSQL estimates and with the same estimates
+// HedgingContext runs the §4.1 experiment (PK+FK indexes, where misestimates
+// hurt most) with plain PostgreSQL estimates and with the same estimates
 // inflated by several per-join risk factors — the paper's §8 suggestion of
-// not trusting the cheapest expected plan. The sweep doubles as an
-// ablation: gentle hedging tends to remove disasters, while aggressive
-// inflation distorts join-order choices and can backfire.
-func (l *Lab) Hedging(factors ...float64) (*HedgingResult, error) {
-	return l.HedgingContext(context.Background(), factors...)
-}
-
-// HedgingContext is Hedging under a caller-controlled context.
+// not trusting the cheapest expected plan. The sweep doubles as an ablation:
+// gentle hedging tends to remove disasters, while aggressive inflation
+// distorts join-order choices and can backfire. ctx cancels the run.
 func (l *Lab) HedgingContext(ctx context.Context, factors ...float64) (*HedgingResult, error) {
 	if len(factors) == 0 {
 		factors = []float64{1.1, 1.5, 2.0}

@@ -50,11 +50,6 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// DefaultConfig is the scale the experiment CLI uses.
-func DefaultConfig() Config {
-	return Config{Scale: 1.0, Seed: 42}
-}
-
 // QuickConfig is small enough for tests and benchmarks.
 func QuickConfig() Config {
 	return Config{Scale: 0.08, Seed: 42}

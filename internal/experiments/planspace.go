@@ -70,14 +70,9 @@ type Figure9Panel struct {
 	Optimal float64 // this configuration's optimum / FK optimum
 }
 
-// Figure9 samples QuickPick plans for the five representative queries under
-// all three index configurations, and computes the §6.1 workload aggregates
-// from a smaller per-query sample.
-func (l *Lab) Figure9(samples int) (*Figure9Result, error) {
-	return l.Figure9Context(context.Background(), samples)
-}
-
-// Figure9Context is Figure9 under a caller-controlled context.
+// Figure9Context samples QuickPick plans for the five representative queries
+// under all three index configurations, and computes the §6.1 workload
+// aggregates from a smaller per-query sample. ctx cancels the run.
 func (l *Lab) Figure9Context(ctx context.Context, samples int) (*Figure9Result, error) {
 	if samples <= 0 {
 		samples = 10000
@@ -245,13 +240,9 @@ type Table2Row struct {
 	Median, P95, Max float64
 }
 
-// Table2 measures how much performance the tree-shape restrictions cost
-// (true cardinalities, both index configurations), like the paper's Table 2.
-func (l *Lab) Table2() (*Table2Result, error) {
-	return l.Table2Context(context.Background())
-}
-
-// Table2Context is Table2 under a caller-controlled context.
+// Table2Context measures how much performance the tree-shape restrictions
+// cost (true cardinalities, both index configurations), like the paper's
+// Table 2. ctx cancels the run.
 func (l *Lab) Table2Context(ctx context.Context) (*Table2Result, error) {
 	res := &Table2Result{}
 	configs := l.indexConfigs()[1:] // PK, PK+FK
@@ -314,14 +305,10 @@ type Table3Row struct {
 	Median, P95, Max float64
 }
 
-// Table3 reproduces the enumeration comparison: exhaustive DP vs
+// Table3Context reproduces the enumeration comparison: exhaustive DP vs
 // QuickPick-1000 vs GOO, planning under PostgreSQL estimates and under true
 // cardinalities, evaluated by re-costing every plan with the truth.
-func (l *Lab) Table3() (*Table3Result, error) {
-	return l.Table3Context(context.Background())
-}
-
-// Table3Context is Table3 under a caller-controlled context.
+// ctx cancels the run.
 func (l *Lab) Table3Context(ctx context.Context) (*Table3Result, error) {
 	res := &Table3Result{}
 	algos := []optimizer.Algorithm{optimizer.DP, optimizer.QuickPick1000, optimizer.GOO}

@@ -66,12 +66,8 @@ type reoptCell struct {
 	toStatic, toAdaptive, toWarm bool
 }
 
-// Reopt runs the adaptive re-optimization experiment; see ReoptResult.
-func (l *Lab) Reopt() (*ReoptResult, error) {
-	return l.ReoptContext(context.Background())
-}
-
-// ReoptContext is Reopt under a caller-controlled context.
+// ReoptContext runs the adaptive re-optimization experiment; see
+// ReoptResult. ctx cancels the run.
 func (l *Lab) ReoptContext(ctx context.Context) (*ReoptResult, error) {
 	// The robust runtime configuration of §4.1: main-memory-tuned cost
 	// model, PK indexes, no non-indexed nested loops, runtime rehashing.

@@ -27,42 +27,42 @@ func TestParallelReportsAreByteIdentical(t *testing.T) {
 	l := sharedLab(t)
 	drivers := map[string]func() (string, error){
 		"table1": func() (string, error) {
-			r, err := l.Table1()
+			r, err := l.Table1Context(context.Background())
 			if err != nil {
 				return "", err
 			}
 			return r.Render(), nil
 		},
 		"fig3": func() (string, error) {
-			r, err := l.Figure3()
+			r, err := l.Figure3Context(context.Background())
 			if err != nil {
 				return "", err
 			}
 			return r.Render(), nil
 		},
 		"fig5": func() (string, error) {
-			r, err := l.Figure5()
+			r, err := l.Figure5Context(context.Background())
 			if err != nil {
 				return "", err
 			}
 			return r.Render(), nil
 		},
 		"fig9": func() (string, error) {
-			r, err := l.Figure9(150)
+			r, err := l.Figure9Context(context.Background(), 150)
 			if err != nil {
 				return "", err
 			}
 			return r.Render(), nil
 		},
 		"ablation-damping": func() (string, error) {
-			r, err := l.DampingAblation([]float64{1.0, 0.82})
+			r, err := l.DampingAblationContext(context.Background(), []float64{1.0, 0.82})
 			if err != nil {
 				return "", err
 			}
 			return r.Render(), nil
 		},
 		"reopt": func() (string, error) {
-			r, err := l.Reopt()
+			r, err := l.ReoptContext(context.Background())
 			if err != nil {
 				return "", err
 			}

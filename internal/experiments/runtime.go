@@ -14,7 +14,6 @@ import (
 	"jobench/internal/index"
 	"jobench/internal/metrics"
 	"jobench/internal/optimizer"
-	"jobench/internal/plan"
 	"jobench/internal/query"
 )
 
@@ -95,14 +94,10 @@ type Section41Row struct {
 	Timeouts int
 }
 
-// Section41 injects each system's estimates into the optimizer and executes
-// the resulting plans (PK indexes, nested-loop joins disabled, rehashing
-// on — the paper's robust configuration for this table).
-func (l *Lab) Section41() (*Section41Result, error) {
-	return l.Section41Context(context.Background())
-}
-
-// Section41Context is Section41 under a caller-controlled context.
+// Section41Context injects each system's estimates into the optimizer and
+// executes the resulting plans (PK indexes, nested-loop joins disabled,
+// rehashing on — the paper's robust configuration for this table). ctx
+// cancels the run.
 func (l *Lab) Section41Context(ctx context.Context) (*Section41Result, error) {
 	rules := engineRules{DisableNLJ: true, Rehash: true}
 	// The engine is a main-memory executor, so the faithful optimizer for
@@ -186,14 +181,10 @@ type Figure6Variant struct {
 	Timeouts int
 }
 
-// Figure6 reproduces the risky-plan experiment: PostgreSQL estimates with
-// PK indexes under (a) the default engine, (b) nested-loop joins disabled,
-// (c) additionally runtime-resized hash tables.
-func (l *Lab) Figure6() (*Figure6Result, error) {
-	return l.Figure6Context(context.Background())
-}
-
-// Figure6Context is Figure6 under a caller-controlled context.
+// Figure6Context reproduces the risky-plan experiment: PostgreSQL estimates
+// with PK indexes under (a) the default engine, (b) nested-loop joins
+// disabled, (c) additionally runtime-resized hash tables. ctx cancels the
+// run.
 func (l *Lab) Figure6Context(ctx context.Context) (*Figure6Result, error) {
 	model := costmodel.NewTuned()
 	variants := []struct {
@@ -245,13 +236,9 @@ func renderBucketRows(b *strings.Builder, vs []Figure6Variant) {
 	}
 }
 
-// Figure7 compares PK-only against PK+FK indexes (robust engine settings):
-// richer physical designs make the optimizer's job harder.
-func (l *Lab) Figure7() (*Figure6Result, error) {
-	return l.Figure7Context(context.Background())
-}
-
-// Figure7Context is Figure7 under a caller-controlled context.
+// Figure7Context compares PK-only against PK+FK indexes (robust engine
+// settings): richer physical designs make the optimizer's job harder. ctx
+// cancels the run.
 func (l *Lab) Figure7Context(ctx context.Context) (*Figure6Result, error) {
 	model := costmodel.NewTuned()
 	rules := engineRules{DisableNLJ: true, Rehash: true}
@@ -295,14 +282,10 @@ type Figure8Panel struct {
 	Fit       metrics.Regression
 }
 
-// Figure8 optimizes and executes every query under {3 cost models} x
+// Figure8Context optimizes and executes every query under {3 cost models} x
 // {PostgreSQL estimates, true cardinalities} with PK+FK indexes, recording
 // predicted cost vs measured runtime (work units).
-func (l *Lab) Figure8() (*Figure8Result, error) {
-	return l.Figure8Context(context.Background())
-}
-
-// Figure8Context is Figure8 under a caller-controlled context.
+// ctx cancels the run.
 func (l *Lab) Figure8Context(ctx context.Context) (*Figure8Result, error) {
 	models := []costmodel.Model{costmodel.NewPostgres(), costmodel.NewTuned(), costmodel.NewSimple()}
 	res := &Figure8Result{GeoMeanRuntime: make(map[string]float64)}
@@ -373,20 +356,4 @@ func (r *Figure8Result) Render() string {
 		fmt.Fprintf(&b, "  %-18s %12.0f\n", name, r.GeoMeanRuntime[name])
 	}
 	return b.String()
-}
-
-// CountAlgo counts join operators by algorithm in a plan (reporting helper).
-func CountAlgo(n *plan.Node) map[plan.JoinAlgo]int {
-	out := make(map[plan.JoinAlgo]int)
-	var walk func(n *plan.Node)
-	walk = func(n *plan.Node) {
-		if n == nil || n.IsLeaf() {
-			return
-		}
-		out[n.Algo]++
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(n)
-	return out
 }

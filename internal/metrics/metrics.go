@@ -161,11 +161,8 @@ func (b Boxplot) String() string {
 		b.N, b.P5, b.P25, b.P50, b.P75, b.P95)
 }
 
-// SlowdownBuckets are the histogram bucket boundaries of Fig. 6/7 and the
-// §4.1 table: [0.3,0.9) [0.9,1.1) [1.1,2) [2,10) [10,100) >=100.
-var SlowdownBuckets = []float64{0.3, 0.9, 1.1, 2, 10, 100}
-
-// BucketLabels returns human-readable labels for SlowdownBuckets.
+// BucketLabels returns human-readable labels for the six slowdown buckets
+// of Fig. 6/7 and the §4.1 table (see BucketSlowdowns).
 func BucketLabels() []string {
 	return []string{"<0.9", "[0.9,1.1)", "[1.1,2)", "[2,10)", "[10,100)", ">100"}
 }

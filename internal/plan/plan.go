@@ -75,9 +75,6 @@ func Leaf(r int) *Node { return &Node{S: query.Bit(r), Rel: r} }
 // IsLeaf reports whether n is a base-relation scan.
 func (n *Node) IsLeaf() bool { return n.Rel >= 0 }
 
-// Relations returns the number of relations joined by this subtree.
-func (n *Node) Relations() int { return n.S.Count() }
-
 // Shape classifies join trees (§6.2).
 type Shape uint8
 

@@ -1,8 +1,9 @@
 package reopt
 
 import (
-	"sync"
+	"sync/atomic"
 
+	"jobench/internal/lru"
 	"jobench/internal/query"
 )
 
@@ -42,22 +43,18 @@ type Stats struct {
 // entry (latest value wins), and a merged entry that alone would exceed
 // the whole budget is rejected rather than evicting everything else.
 type FeedbackCache struct {
-	mu        sync.Mutex
-	budget    int64
-	bytes     int64
-	entries   map[string]*feedbackEntry
-	head      *feedbackEntry // most recently used
-	tail      *feedbackEntry // least recently used
-	hits      int64
-	misses    int64
-	evictions int64
+	entries   *lru.Cache[string, feedbackEntry]
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
 }
 
+// feedbackEntry is one fingerprint's observations. cards is never mutated
+// once stored (a merge builds a new map), so readers may copy it outside
+// the cache's lock.
 type feedbackEntry struct {
-	fp         string
-	cards      map[query.BitSet]float64
-	bytes      int64
-	prev, next *feedbackEntry
+	fp    string
+	cards map[query.BitSet]float64
 }
 
 func entrySize(fp string, slots int) int64 {
@@ -70,25 +67,22 @@ func NewFeedbackCache(budget int64) *FeedbackCache {
 	if budget <= 0 {
 		budget = DefaultBudgetBytes
 	}
-	return &FeedbackCache{budget: budget, entries: make(map[string]*feedbackEntry)}
+	c := &FeedbackCache{}
+	c.entries = lru.New(budget,
+		func(e feedbackEntry) int64 { return entrySize(e.fp, len(e.cards)) },
+		func(string, feedbackEntry) { c.evictions.Add(1) })
+	return c
 }
-
-// Budget reports the configured byte budget.
-func (c *FeedbackCache) Budget() int64 { return c.budget }
 
 // Get returns a copy of the observed cardinalities recorded for fp, or nil
 // on a miss. A hit marks the entry most recently used.
 func (c *FeedbackCache) Get(fp string) map[query.BitSet]float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[fp]
+	e, ok := c.entries.Get(fp)
 	if !ok {
-		c.misses++
+		c.misses.Add(1)
 		return nil
 	}
-	c.hits++
-	c.unlink(e)
-	c.pushFront(e)
+	c.hits.Add(1)
 	out := make(map[query.BitSet]float64, len(e.cards))
 	for s, v := range e.cards {
 		out[s] = v
@@ -104,77 +98,25 @@ func (c *FeedbackCache) Put(fp string, cards map[query.BitSet]float64) {
 	if len(cards) == 0 {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[fp]
-	merged := make(map[query.BitSet]float64, len(cards))
-	if ok {
-		for s, v := range e.cards {
+	c.entries.Update(fp, func(old feedbackEntry, _ bool) (feedbackEntry, bool) {
+		merged := make(map[query.BitSet]float64, len(old.cards)+len(cards))
+		for s, v := range old.cards {
 			merged[s] = v
 		}
-	}
-	for s, v := range cards {
-		merged[s] = v
-	}
-	size := entrySize(fp, len(merged))
-	if size > c.budget {
-		return
-	}
-	if ok {
-		c.bytes += size - e.bytes
-		e.cards, e.bytes = merged, size
-		c.unlink(e)
-		c.pushFront(e)
-	} else {
-		e = &feedbackEntry{fp: fp, cards: merged, bytes: size}
-		c.entries[fp] = e
-		c.bytes += size
-		c.pushFront(e)
-	}
-	for c.bytes > c.budget && c.tail != nil {
-		victim := c.tail
-		c.unlink(victim)
-		delete(c.entries, victim.fp)
-		c.bytes -= victim.bytes
-		c.evictions++
-	}
+		for s, v := range cards {
+			merged[s] = v
+		}
+		return feedbackEntry{fp: fp, cards: merged}, true
+	})
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *FeedbackCache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return Stats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Entries:   int64(len(c.entries)),
-		Bytes:     c.bytes,
-		Evictions: c.evictions,
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Entries:   int64(c.entries.Len()),
+		Bytes:     c.entries.Used(),
+		Evictions: c.evictions.Load(),
 	}
-}
-
-func (c *FeedbackCache) pushFront(e *feedbackEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *FeedbackCache) unlink(e *feedbackEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.head == e {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.tail == e {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }

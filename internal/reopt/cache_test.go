@@ -19,23 +19,17 @@ func bs(rels ...int) query.BitSet {
 
 // checkAccounting recomputes the cache's byte counter from its entries and
 // asserts both internal consistency and the budget bound.
-func checkAccounting(t *testing.T, c *FeedbackCache) {
+func checkAccounting(t *testing.T, c *FeedbackCache, budget int64) {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var sum int64
-	for fp, e := range c.entries {
-		want := entrySize(fp, len(e.cards))
-		if e.bytes != want {
-			t.Fatalf("entry %q accounted %d bytes, want %d", fp, e.bytes, want)
-		}
-		sum += e.bytes
+	for _, e := range c.entries.Values() {
+		sum += entrySize(e.fp, len(e.cards))
 	}
-	if sum != c.bytes {
-		t.Fatalf("cache counts %d bytes, entries sum to %d", c.bytes, sum)
+	if used := c.entries.Used(); sum != used {
+		t.Fatalf("cache counts %d bytes, entries sum to %d", used, sum)
 	}
-	if c.bytes > c.budget {
-		t.Fatalf("cache holds %d bytes over budget %d", c.bytes, c.budget)
+	if sum > budget {
+		t.Fatalf("cache holds %d bytes over budget %d", sum, budget)
 	}
 }
 
@@ -59,10 +53,10 @@ func TestFeedbackCacheBudgetChurn(t *testing.T) {
 		}
 		c.Put(fp, cards)
 		if i%97 == 0 {
-			checkAccounting(t, c)
+			checkAccounting(t, c, budget)
 		}
 	}
-	checkAccounting(t, c)
+	checkAccounting(t, c, budget)
 	st := c.Stats()
 	if st.Evictions == 0 {
 		t.Error("churn at 4 KiB never evicted — budget not binding, test is vacuous")
@@ -163,7 +157,7 @@ func TestFeedbackCacheConcurrent(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	checkAccounting(t, c)
+	checkAccounting(t, c, 8192)
 	st := c.Stats()
 	if st.Hits+st.Misses == 0 {
 		t.Error("no gets recorded")

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"jobench/internal/deadline"
+	"jobench/internal/lru"
 	"jobench/internal/trace"
 )
 
@@ -435,7 +436,7 @@ func (s *Server) recordOutcome(rep *replica, failure bool) {
 
 const (
 	budgetBurst      = 10   // max banked retry tokens per client
-	budgetMaxClients = 1024 // bound on tracked clients (arbitrary eviction past it)
+	budgetMaxClients = 1024 // bound on tracked clients (least recently active evicted past it)
 )
 
 // budgetPool is the per-client retry-token store: each initial request
@@ -443,44 +444,33 @@ const (
 // a full bucket so cold-start failovers aren't penalized. Under sustained
 // correlated failure the bucket drains and retries stop — the router
 // amplifies load by at most (1 + ratio) instead of (1 + MaxRetries).
+// Past budgetMaxClients the least recently active client is forgotten, so
+// a drained client that keeps sending stays tracked and is never handed a
+// fresh bucket by churn among other hosts.
 type budgetPool struct {
-	ratio float64
-	mu    sync.Mutex
-	m     map[string]float64
+	ratio  float64
+	tokens *lru.Cache[string, float64]
 }
 
 func newBudgetPool(ratio float64) *budgetPool {
-	return &budgetPool{ratio: ratio, m: make(map[string]float64)}
+	return &budgetPool{ratio: ratio, tokens: lru.New[string, float64](budgetMaxClients, nil, nil)}
 }
 
 // earn credits one initial request from client.
 func (p *budgetPool) earn(client string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	v, ok := p.m[client]
-	if !ok {
-		if len(p.m) >= budgetMaxClients {
-			for k := range p.m { // bound the map; precision isn't the point
-				delete(p.m, k)
-				break
-			}
+	p.tokens.Update(client, func(v float64, ok bool) (float64, bool) {
+		if !ok {
+			return budgetBurst, true
 		}
-		v = budgetBurst
-	} else if v += p.ratio; v > budgetBurst {
-		v = budgetBurst
-	}
-	p.m[client] = v
+		return min(v+p.ratio, budgetBurst), true
+	})
 }
 
 // spend takes one retry token; false means the budget is exhausted.
 func (p *budgetPool) spend(client string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.m[client] < 1 {
-		return false
-	}
-	p.m[client]--
-	return true
+	return p.tokens.Update(client, func(v float64, ok bool) (float64, bool) {
+		return v - 1, ok && v >= 1
+	})
 }
 
 // clientHost is the budget key: the peer address without the ephemeral

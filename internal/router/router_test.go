@@ -416,6 +416,41 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 }
 
+// TestRetryBudgetSurvivesClientChurn: a drained client that keeps sending
+// while thousands of other hosts churn through the budget pool keeps its
+// drained bucket. Eviction past budgetMaxClients must take the least
+// recently active client; forgetting a client that is still retrying would
+// hand it a fresh burst and break the (1 + ratio) amplification bound.
+func TestRetryBudgetSurvivesClientChurn(t *testing.T) {
+	const victim = "203.0.113.7"
+	p := newBudgetPool(0.2)
+	// send models one failing request from the victim: it earns its share,
+	// then retries (up to twice) while the budget grants tokens.
+	send := func() (retries int) {
+		p.earn(victim)
+		for retries < 2 && p.spend(victim) {
+			retries++
+		}
+		return retries
+	}
+	// The first five requests spend the 10-token burst; from then on the
+	// bucket holds under 1.2 tokens after each earn, so a request granted
+	// two retries was handed a fresh bucket.
+	for i := 0; i < budgetBurst/2; i++ {
+		if got := send(); got != 2 {
+			t.Fatalf("request %d while draining got %d retries, want 2", i, got)
+		}
+	}
+	for host := 0; host < 20*budgetMaxClients; host++ {
+		p.earn(fmt.Sprintf("host-%d", host))
+		if host%16 == 0 {
+			if got := send(); got > 1 {
+				t.Fatalf("drained client got %d retries after %d other hosts: its bucket was reset", got, host+1)
+			}
+		}
+	}
+}
+
 // TestBreakerThrottleAndRecovery: a replica that answers its probes but
 // fails its requests gets throttled (half its traffic routed around it)
 // once the outcome window condemns it, and is restored with hysteresis

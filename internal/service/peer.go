@@ -141,7 +141,7 @@ func (s *Server) handleReportPeek(w http.ResponseWriter, r *http.Request) (int, 
 		}
 	}
 	k := reportKey{key: s.key(wl, seed, scale), name: name, samples: normalizeSamples(name, samples)}
-	text, ok := s.reports.get(k)
+	text, ok := s.reports.Get(k)
 	if !ok {
 		return http.StatusNotFound, fmt.Errorf("report %q not cached here", name)
 	}

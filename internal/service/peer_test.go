@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -59,7 +60,7 @@ func TestPeerFill(t *testing.T) {
 	seed := seedOwnedBy(t, peers, aHTTP.URL, scale)
 	const reportText = "=== table1 ===\nthe canonical rendering\n"
 	k := reportKey{key: a.key("", seed, scale), name: "table1"}
-	a.reports.put(k, reportText)
+	a.reports.Put(k, reportText)
 
 	// The request carries a trace ID so the fill's propagation is
 	// checkable below: B's peek at A must ride the same trace.
@@ -187,7 +188,7 @@ func TestReportPeekEndpoint(t *testing.T) {
 	// fig9's samples default (0 → 10000) must normalize identically on
 	// both surfaces, or a fill could never match a computed key.
 	k := reportKey{key: s.key("", 3, 0.25), name: "fig9", samples: 10000}
-	s.reports.put(k, "fig9 text")
+	s.reports.Put(k, "fig9 text")
 	resp, err = http.Get(h.URL + "/v1/report-cache/fig9?seed=3&scale=0.25&samples=0")
 	if err != nil {
 		t.Fatal(err)
@@ -213,5 +214,61 @@ func TestReplicaInfoMetric(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "jobench_peer_fill_hits_total") {
 		t.Fatal("/metrics missing peer-fill counters")
+	}
+}
+
+// TestReportCacheLRU: the report cache never holds more than
+// reportCacheCap renderings, and a report read just before the cap is
+// crossed survives while the least recently used one is evicted. Reports
+// arrive through the production path — a miss filled from a stub ring
+// owner — so every insertion and every read goes through Server.report.
+func TestReportCacheLRU(t *testing.T) {
+	var peeks atomic.Int64
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		peeks.Add(1)
+		fmt.Fprintf(w, "table1 for seed %s", r.URL.Query().Get("seed"))
+	}))
+	t.Cleanup(owner.Close)
+	// This replica is not on the ring, so the stub owns every world.
+	s, _, labs := newPeerTestServer(t, Config{DefaultScale: 0.25,
+		Peers: []string{owner.URL}, SelfURL: "http://replica.invalid"})
+	ctx := context.Background()
+	keyOf := func(seed int64) reportKey {
+		return reportKey{key: s.key("", seed, 0.25), name: "table1"}
+	}
+	report := func(seed int64) {
+		t.Helper()
+		text, err := s.report(ctx, keyOf(seed))
+		if want := fmt.Sprintf("table1 for seed %d", seed); err != nil || text != want {
+			t.Fatalf("seed %d: %q, %v; want %q", seed, text, err, want)
+		}
+	}
+
+	for seed := int64(1); seed <= reportCacheCap; seed++ {
+		report(seed)
+	}
+	report(1) // seed 1 was inserted first but is now the most recent read
+	if peeks.Load() != reportCacheCap {
+		t.Fatalf("%d owner peeks for %d distinct reports and one repeat", peeks.Load(), reportCacheCap)
+	}
+	report(reportCacheCap + 1) // crosses the cap: evicts seed 2, the LRU
+	if n := s.reports.Len(); n != reportCacheCap {
+		t.Fatalf("cache holds %d reports, cap %d", n, reportCacheCap)
+	}
+	if _, ok := s.reports.Get(keyOf(1)); !ok {
+		t.Error("the report read just before the cap was crossed was evicted")
+	}
+	if _, ok := s.reports.Get(keyOf(2)); ok {
+		t.Error("the least recently used report survived")
+	}
+
+	for seed := int64(reportCacheCap + 2); seed <= 3*reportCacheCap; seed++ {
+		report(seed)
+		if n := s.reports.Len(); n > reportCacheCap {
+			t.Fatalf("cache holds %d reports, cap %d", n, reportCacheCap)
+		}
+	}
+	if labs.Load() != 0 {
+		t.Fatalf("%d Lab constructions; every report should be a fill", labs.Load())
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"jobench"
 	"jobench/internal/experiments"
+	"jobench/internal/lru"
 	"jobench/internal/parallel"
 	"jobench/internal/reopt"
 	"jobench/internal/trace"
@@ -56,7 +57,10 @@ type Pool struct {
 	openSystem func(Key) (*jobench.System, error)
 	openLab    func(Key) (*experiments.Lab, error)
 
-	entries *lruMap
+	// entries holds at most the pool's capacity of instances. An evicted
+	// instance is simply dropped: systems are immutable and requests that
+	// already hold a reference keep it alive until they finish.
+	entries *lru.Cache[Key, entry]
 
 	sysFlight parallel.Flight[Key, *jobench.System]
 	labFlight parallel.Flight[Key, *experiments.Lab]
@@ -90,7 +94,7 @@ func NewPool(cfg Config, metrics *Metrics) *Pool {
 				CacheDir: k.CacheDir, Logf: cfg.logf(),
 			})
 		},
-		entries: newLRUMap(capacity, metrics),
+		entries: lru.New(int64(capacity), nil, func(Key, entry) { metrics.PoolEvictions.Add(1) }),
 	}
 }
 
@@ -103,14 +107,14 @@ func NewPool(cfg Config, metrics *Metrics) *Pool {
 // Open (snapshot load or data generation); joiners share the instance
 // without recording it.
 func (p *Pool) System(ctx context.Context, key Key) (*jobench.System, error) {
-	if e := p.entries.get(key); e != nil && e.sys != nil {
+	if e, _ := p.entries.Get(key); e.sys != nil {
 		p.metrics.PoolObserve(key.World.Workload, true)
 		return e.sys, nil
 	}
 	sys, err, shared := p.sysFlight.DoContext(ctx, key, func() (*jobench.System, error) {
 		// A flight that completed between our miss and entering Do already
 		// populated the entry; don't rebuild.
-		if e := p.entries.get(key); e != nil && e.sys != nil {
+		if e, _ := p.entries.Get(key); e.sys != nil {
 			p.metrics.PoolObserve(key.World.Workload, true)
 			return e.sys, nil
 		}
@@ -126,7 +130,7 @@ func (p *Pool) System(ctx context.Context, key Key) (*jobench.System, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.entries.set(key, func(e *entry) { e.sys = sys })
+		p.entries.Update(key, func(e entry, _ bool) (entry, bool) { e.sys = sys; return e, true })
 		return sys, nil
 	})
 	if shared && err == nil {
@@ -140,12 +144,12 @@ func (p *Pool) System(ctx context.Context, key Key) (*jobench.System, error) {
 // (exactly once under concurrency) on a miss; ctx bounds the caller's
 // wait (never the construction), as in System.
 func (p *Pool) Lab(ctx context.Context, key Key) (*experiments.Lab, error) {
-	if e := p.entries.get(key); e != nil && e.lab != nil {
+	if e, _ := p.entries.Get(key); e.lab != nil {
 		p.metrics.PoolObserve(key.World.Workload, true)
 		return e.lab, nil
 	}
 	lab, err, shared := p.labFlight.DoContext(ctx, key, func() (*experiments.Lab, error) {
-		if e := p.entries.get(key); e != nil && e.lab != nil {
+		if e, _ := p.entries.Get(key); e.lab != nil {
 			p.metrics.PoolObserve(key.World.Workload, true)
 			return e.lab, nil
 		}
@@ -158,7 +162,7 @@ func (p *Pool) Lab(ctx context.Context, key Key) (*experiments.Lab, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.entries.set(key, func(e *entry) { e.lab = lab })
+		p.entries.Update(key, func(e entry, _ bool) (entry, bool) { e.lab = lab; return e, true })
 		return lab, nil
 	})
 	if shared && err == nil {
@@ -168,14 +172,17 @@ func (p *Pool) Lab(ctx context.Context, key Key) (*experiments.Lab, error) {
 }
 
 // Len reports the number of resident instances.
-func (p *Pool) Len() int { return p.entries.len() }
+func (p *Pool) Len() int { return p.entries.Len() }
 
 // FeedbackStats sums the plan-feedback cache counters across every resident
 // System — the /metrics feedback_cache_* series.
 func (p *Pool) FeedbackStats() reopt.Stats {
 	var total reopt.Stats
-	for _, sys := range p.entries.systems() {
-		st := sys.FeedbackStats()
+	for _, e := range p.entries.Values() {
+		if e.sys == nil {
+			continue
+		}
+		st := e.sys.FeedbackStats()
 		total.Hits += st.Hits
 		total.Misses += st.Misses
 		total.Entries += st.Entries

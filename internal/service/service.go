@@ -23,13 +23,13 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"jobench"
 	"jobench/internal/deadline"
 	"jobench/internal/experiments"
 	"jobench/internal/fault"
+	"jobench/internal/lru"
 	"jobench/internal/parallel"
 	"jobench/internal/plan"
 	"jobench/internal/trace"
@@ -134,7 +134,7 @@ type Server struct {
 	// request can arrive.
 	baseCtx context.Context
 
-	reports      *reportCache
+	reports      *lru.Cache[reportKey, string]
 	reportFlight parallel.Flight[reportKey, string]
 	admit        *admission
 	peers        *peerSet
@@ -164,7 +164,7 @@ func New(cfg Config) *Server {
 		pool:    NewPool(cfg, m),
 		metrics: m,
 		mux:     http.NewServeMux(),
-		reports: newReportCache(),
+		reports: lru.New[reportKey, string](reportCacheCap, nil, nil),
 		admit:   newAdmission(int64(cfg.ReportCapacity), cfg.MaxQueue),
 		peers:   newPeerSet(cfg),
 		traces:  trace.NewStore(cfg.TraceCapacity),
@@ -419,13 +419,24 @@ func (s *Server) system(ctx context.Context, wl string, seed int64, scale float6
 	return sys, err
 }
 
-func decodeJSON(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a request body. Replicas are reachable without the
+// router in front, so they enforce the router's bound themselves: the /v1
+// bodies are small JSON documents, and anything past this is abusive.
+const maxBodyBytes = 1 << 20
+
+// decodeJSON decodes the request body into dst, answering 413 for a body
+// past maxBodyBytes and 400 for anything else it cannot decode.
+func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("invalid request body: %w", err)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxBodyBytes)
+		}
+		return http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err)
 	}
-	return nil
+	return http.StatusOK, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -495,8 +506,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) (int, err
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) (int, error) {
 	var req PlanRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return http.StatusBadRequest, err
+	if status, err := decodeJSON(w, r, &req); err != nil {
+		return status, err
 	}
 	opts, err := planOptions(req)
 	if err != nil {
@@ -531,8 +542,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) (int, er
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) (int, error) {
 	var req ExecuteRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return http.StatusBadRequest, err
+	if status, err := decodeJSON(w, r, &req); err != nil {
+		return status, err
 	}
 	opts, err := planOptions(req.PlanRequest)
 	if err != nil {
@@ -614,8 +625,8 @@ func explainNodes(nodes []plan.AnalyzedNode) []ExplainNode {
 // per-operator stats collection and return estimates vs actuals per node.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) (int, error) {
 	var req ExecuteRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return http.StatusBadRequest, err
+	if status, err := decodeJSON(w, r, &req); err != nil {
+		return status, err
 	}
 	if req.Adaptive {
 		return http.StatusBadRequest, errors.New("explain analyze cannot be combined with adaptive")
@@ -669,8 +680,8 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) (int, erro
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) (int, error) {
 	var req EstimateRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return http.StatusBadRequest, err
+	if status, err := decodeJSON(w, r, &req); err != nil {
+		return status, err
 	}
 	sys, err := s.system(r.Context(), req.Workload, req.Seed, req.Scale)
 	if err != nil {
@@ -806,40 +817,9 @@ type reportKey struct {
 
 // reportCacheCap bounds the memoized reports. Keys embed client-supplied
 // (seed, scale), so without a cap a client iterating seeds would grow the
-// cache without limit; beyond the cap the oldest insertion is dropped
-// (recomputable at the cost of one sweep).
+// cache without limit; beyond the cap the least recently used report is
+// dropped (recomputable at the cost of one sweep).
 const reportCacheCap = 128
-
-type reportCache struct {
-	mu    sync.Mutex
-	m     map[reportKey]string
-	order []reportKey // insertion order, oldest first
-}
-
-func newReportCache() *reportCache {
-	return &reportCache{m: make(map[reportKey]string)}
-}
-
-func (c *reportCache) get(k reportKey) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	text, ok := c.m[k]
-	return text, ok
-}
-
-func (c *reportCache) put(k reportKey, text string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[k]; !ok {
-		c.order = append(c.order, k)
-	}
-	c.m[k] = text
-	for len(c.m) > reportCacheCap && len(c.order) > 0 {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, victim)
-	}
-}
 
 // report returns the memoized rendering of one experiment, computing it
 // under single-flight on a miss. The computation runs detached under the
@@ -855,7 +835,7 @@ func (c *reportCache) put(k reportKey, text string) {
 // Only successful renders are cached, so a cancelled or failed run never
 // poisons the cache.
 func (s *Server) report(ctx context.Context, k reportKey) (string, error) {
-	if text, ok := s.reports.get(k); ok {
+	if text, ok := s.reports.Get(k); ok {
 		s.metrics.ReportObserve(k.key.World.Workload, true)
 		return text, nil
 	}
@@ -867,7 +847,7 @@ func (s *Server) report(ctx context.Context, k reportKey) (string, error) {
 		cctx = trace.NewContext(cctx, tr)
 	}
 	text, err, _ := s.reportFlight.DoContext(ctx, k, func() (string, error) {
-		if text, ok := s.reports.get(k); ok {
+		if text, ok := s.reports.Get(k); ok {
 			return text, nil
 		}
 		// Peer-fill: if another replica owns this report's world on the
@@ -875,7 +855,7 @@ func (s *Server) report(ctx context.Context, k reportKey) (string, error) {
 		// one cheap peek beats recomputing a whole sweep. Any failure falls
 		// through to the local computation.
 		if text, ok := s.peerFill(cctx, k); ok {
-			s.reports.put(k, text)
+			s.reports.Put(k, text)
 			return text, nil
 		}
 		// Admission control: only the goroutine that actually computes
@@ -901,7 +881,7 @@ func (s *Server) report(ctx context.Context, k reportKey) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		s.reports.put(k, text)
+		s.reports.Put(k, text)
 		return text, nil
 	})
 	return text, err

@@ -711,3 +711,13 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("unknown explain mode status %d, want 400", resp.StatusCode)
 	}
 }
+
+// TestOversizedBodyRejected: a replica bounds request bodies itself (it is
+// reachable without the router in front) and answers 413 past the bound.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := testServer(t)
+	resp, body := postJSON(t, ts.URL+"/v1/optimize", PlanRequest{Query: strings.Repeat("a", maxBodyBytes)})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %.200s", resp.StatusCode, body)
+	}
+}

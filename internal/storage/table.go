@@ -54,15 +54,6 @@ func (t *Table) MustColumn(name string) *Column {
 	return c
 }
 
-// ColumnNames returns the column names in declaration order.
-func (t *Table) ColumnNames() []string {
-	names := make([]string, len(t.Cols))
-	for i, c := range t.Cols {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // TupleWidth returns a rough per-tuple width in bytes, used by the
 // disk-oriented cost model to translate rows into pages.
 func (t *Table) TupleWidth() int {
